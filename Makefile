@@ -1,7 +1,7 @@
 # Developer / CI entry points. Everything is plain go tooling; the
 # targets just fix the flag sets so local runs and CI agree.
 
-.PHONY: build test test-purego verify server-integration cluster-smoke patlib-bench-smoke trace-smoke dataset-smoke fuzz-short bench bench-micro bench-json
+.PHONY: build test test-purego test-cpus verify server-integration cluster-smoke patlib-bench-smoke trace-smoke dataset-smoke fuzz-short bench bench-micro bench-json
 
 build:
 	go build ./...
@@ -19,6 +19,14 @@ test-purego:
 	go vet -tags purego ./...
 	go test -tags purego -race ./internal/fft/ ./internal/optics/
 
+# The determinism leg: the packages whose parallel paths promise
+# bit-identical results (parallel == serial imaging, FFT plans, model
+# OPC over concurrent foci, the tiled scheduler) rerun at 1, 2 and 4
+# procs, so an order-dependent reduction fails on any host, not only on
+# multi-core ones. Never cached.
+test-cpus:
+	go test -count=1 -cpu 1,2,4 ./internal/fft/ ./internal/optics/ ./internal/opc/model/ ./internal/core/
+
 # The CI gate: static checks plus the whole tree under the race
 # detector (the lock-free obs registry, the parallel tile scheduler,
 # the checkpoint writer and the opcd job server all have concurrency
@@ -26,6 +34,7 @@ test-purego:
 verify:
 	go vet ./...
 	go test -race ./...
+	$(MAKE) test-cpus
 	$(MAKE) test-purego
 	$(MAKE) server-integration
 	$(MAKE) cluster-smoke
@@ -75,12 +84,14 @@ dataset-smoke:
 trace-smoke:
 	go test -count=1 -run '^TestTraceSmoke$$' ./cmd/opcflow/
 
-# Short fuzz pass over the GDS ingest hardening (the seed corpora plus
-# 30s of mutation per target); CI runs this, longer runs are manual.
+# Short fuzz pass over the GDS ingest hardening, the FFT kernels and
+# the geometry booleans (the seed corpora plus 30s of mutation per
+# target); CI runs this, longer runs are manual.
 fuzz-short:
 	go test ./internal/gds/ -run '^$$' -fuzz 'FuzzReadGDS$$' -fuzztime 30s
 	go test ./internal/gds/ -run '^$$' -fuzz 'FuzzReadGDSLayout$$' -fuzztime 30s
 	go test ./internal/fft/ -run '^$$' -fuzz 'FuzzTransformEquivalence$$' -fuzztime 30s
+	go test ./internal/geom/ -run '^$$' -fuzz 'FuzzRegionBooleans$$' -fuzztime 30s
 
 # Regenerate the recorded evaluation tables.
 bench:
@@ -92,7 +103,7 @@ bench-json:
 	go run ./cmd/benchtables -exp T2 -exp T3 -exp PRIOR -json 'BENCH_<exp>.json'
 
 # The aerial-image micro-benchmarks (FFT substrates plus the SOCS
-# serial/parallel/f32 and Abbe engines) in short form: the quick check
+# serial/parallel and Abbe engines) in short form: the quick check
 # that a kernel or imaging change moved the needle the right way.
 bench-micro:
 	go test -run '^$$' -bench 'BenchmarkFFT2D|BenchmarkAerialImage' -benchtime 200ms .

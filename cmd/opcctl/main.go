@@ -161,11 +161,13 @@ func cmdSubmit(ctx context.Context, c *server.Client, args []string) error {
 		spec.Flow.GuardNM = 1200
 	}
 	if *flowJSON != "" {
-		data, err := os.ReadFile(*flowJSON)
+		f, err := os.Open(*flowJSON)
 		if err != nil {
 			return err
 		}
-		if err := json.Unmarshal(data, &spec.Flow); err != nil {
+		err = server.DecodeSpec(f, &spec.Flow)
+		f.Close()
+		if err != nil {
 			return fmt.Errorf("-flow: %w", err)
 		}
 	}
@@ -225,7 +227,7 @@ func submitBatch(ctx context.Context, c *server.Client, path string) error {
 			continue
 		}
 		var spec server.JobSpec
-		if err := json.Unmarshal([]byte(text), &spec); err != nil {
+		if err := server.DecodeSpec(strings.NewReader(text), &spec); err != nil {
 			return fmt.Errorf("batch line %d: %w", line, err)
 		}
 		st, err := c.Submit(ctx, spec)

@@ -42,11 +42,6 @@ var (
 	stage      = stageGeneric
 	stageScale = stageScaleGeneric
 
-	// complex64 stage kernels.
-	stage2432    = stage2432Generic
-	stage32      = stage32Generic
-	stageScale32 = stageScale32Generic
-
 	// mKernelDispatch counts transform entries (1-D calls and 2-D plan
 	// applications) dispatched to the active kernel; the series name
 	// carries the kernel, so which kernel served a process is readable

@@ -19,10 +19,8 @@ type Simulator struct {
 	S   Settings
 	src []srcPoint
 
-	// plans caches FFT plans per frame geometry; plans32 their complex64
-	// twins for the PrecisionF32 kernel path.
-	plans   sync.Map // [2]int -> *fft.Plan2D
-	plans32 sync.Map // [2]int -> *fft.Plan2D32
+	// plans caches FFT plans per frame geometry.
+	plans sync.Map // [2]int -> *fft.Plan2D
 	// kcache caches SOCS kernel sets per (frame geometry, defocus) so
 	// OPC iteration loops and E-D process-window sweeps rebuild nothing.
 	kcache                   sync.Map // kernelKey -> *kernelEntry
@@ -129,13 +127,8 @@ func (sim *Simulator) AerialDefocusCtx(ctx context.Context, mask []geom.Polygon,
 		if err != nil {
 			return nil, err
 		}
-		if sim.S.Precision == PrecisionF32 {
-			mImagesSOCS32.Inc()
-			intensity, err = sim.socsIntensity32(ctx, spectrum, frame, ks)
-		} else {
-			mImagesSOCS.Inc()
-			intensity, err = sim.socsIntensity(ctx, spectrum, frame, ks)
-		}
+		mImagesSOCS.Inc()
+		intensity, err = sim.socsIntensity(ctx, spectrum, frame, ks)
 		fft.PutGrid(spectrum)
 		if err != nil {
 			return nil, err
@@ -195,11 +188,13 @@ func (sim *Simulator) maskSpectrum(mask []geom.Polygon, frame Frame, cols []int)
 
 // abbeIntensity runs the reference source-point integration: one
 // pupil-filtered inverse FFT per sampled source point, weighted
-// intensities summed. Workers abort early once any source point fails
-// or the context is cancelled.
+// intensities summed. With Parallel set, source points fan out across
+// goroutines but each contribution is added to the image in source
+// order, so the float sum is the serial loop's bit for bit at any
+// GOMAXPROCS. Workers abort early once any source point fails or the
+// context is cancelled.
 func (sim *Simulator) abbeIntensity(ctx context.Context, spectrum *fft.Grid, frame Frame, defocusNM float64) ([]float64, error) {
-	n := frame.W * frame.H
-	intensity := make([]float64, n)
+	intensity := make([]float64, frame.W*frame.H)
 	naOverLambda := sim.S.NA / sim.S.LambdaNM
 
 	// Precompute per-axis frequencies.
@@ -222,58 +217,67 @@ func (sim *Simulator) abbeIntensity(ctx context.Context, spectrum *fft.Grid, fra
 			workers = 1
 		}
 	}
+	// mu guards next (the source whose contribution merges next) and
+	// firstErr; turn wakes the workers waiting for their source's turn.
+	// Sources are dispatched in order, so the worker holding source next
+	// never waits and the merge always advances; on abort every waiter
+	// is released.
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var cancel atomic.Bool
-	jobs := make(chan srcPoint)
+	turn := sync.NewCond(&mu)
+	next := 0
 	var firstErr error
+	var cancel atomic.Bool
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		cancel.Store(true)
+		turn.Broadcast()
+		mu.Unlock()
+	}
+	var wg sync.WaitGroup
+	jobs := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			field := fft.GetGrid(frame.W, frame.H)
 			defer fft.PutGrid(field)
-			local := getFloats(n)
-			for sp := range jobs {
+			for k := range jobs {
 				if cancel.Load() {
 					continue
 				}
 				if err := ctx.Err(); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					cancel.Store(true)
+					fail(err)
 					continue
 				}
+				sp := sim.src[k]
 				if err := sim.sourceField(spectrum, field, frame, sp, defocusNM, naOverLambda, fxs, fys); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					cancel.Store(true)
+					fail(err)
 					continue
 				}
-				for i, v := range field.Data {
-					re, im := real(v), imag(v)
-					local[i] += sp.Weight * (re*re + im*im)
+				mu.Lock()
+				for next != k && !cancel.Load() {
+					turn.Wait()
 				}
+				if next == k {
+					for i, v := range field.Data {
+						re, im := real(v), imag(v)
+						intensity[i] += sp.Weight * (re*re + im*im)
+					}
+					next++
+					turn.Broadcast()
+				}
+				mu.Unlock()
 			}
-			mu.Lock()
-			for i, v := range local {
-				intensity[i] += v
-			}
-			mu.Unlock()
-			putFloats(local)
 		}()
 	}
-	for _, sp := range sim.src {
+	for k := range sim.src {
 		if cancel.Load() {
 			break
 		}
-		jobs <- sp
+		jobs <- k
 	}
 	close(jobs)
 	wg.Wait()

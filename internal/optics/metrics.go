@@ -26,9 +26,7 @@ var (
 	mFieldEvals = obs.Default().Counter("goopc_abbe_field_evals_total",
 		"Abbe source-point field evaluations")
 	mImagesSOCS = obs.Default().Counter("goopc_images_socs_total",
-		"aerial images computed by the SOCS engine in float64")
-	mImagesSOCS32 = obs.Default().Counter("goopc_images_socs_f32_total",
-		"aerial images computed by the SOCS engine in float32 (PrecisionF32)")
+		"aerial images computed by the SOCS engine")
 	mImagesAbbe = obs.Default().Counter("goopc_images_abbe_total",
 		"aerial images computed by the Abbe reference engine")
 	mFramePixels = obs.Default().Histogram("goopc_frame_pixels",

@@ -3,8 +3,8 @@ package optics
 import "sync"
 
 // floatPools recycles per-size intensity accumulators so the model-OPC
-// iteration loop stops allocating a fresh buffer per source point or
-// kernel per iteration. Slices handed out are zeroed.
+// iteration loop stops allocating a fresh buffer per SOCS kernel per
+// iteration. Slices handed out are zeroed.
 var floatPools sync.Map // int -> *sync.Pool
 
 func getFloats(n int) []float64 {

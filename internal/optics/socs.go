@@ -89,27 +89,6 @@ type kernelSet struct {
 	// (pruned kernel inverses); embedRows the fine rows that receive
 	// the upsampled intensity spectrum (pruned interpolation inverse).
 	fineCols, coarseRows, embedRows []int
-	// coef32 is the complex64 rounding of coef, converted lazily on the
-	// first PrecisionF32 simulation and cached alongside — the kernel
-	// cache then serves both precisions from one entry.
-	f32once sync.Once
-	coef32  [][]complex64
-}
-
-// coefs32 returns the complex64 kernel stack, converting from coef on
-// first use.
-func (ks *kernelSet) coefs32() [][]complex64 {
-	ks.f32once.Do(func() {
-		ks.coef32 = make([][]complex64, len(ks.coef))
-		for k, ck := range ks.coef {
-			c := make([]complex64, len(ck))
-			for j, v := range ck {
-				c[j] = complex64(v)
-			}
-			ks.coef32[k] = c
-		}
-	})
-	return ks.coef32
 }
 
 // kernels returns the cached kernel set for a frame/defocus, building

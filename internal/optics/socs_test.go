@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"goopc/internal/geom"
@@ -289,8 +290,7 @@ func TestKernelCacheReuse(t *testing.T) {
 }
 
 // TestSOCSParallelMatchesSerial: kernel fan-out merges per-kernel
-// buffers in kernel order, so parallel must be bit-compatible with
-// serial.
+// buffers in kernel order, so parallel must be bit-identical to serial.
 func TestSOCSParallelMatchesSerial(t *testing.T) {
 	s := fastSettings()
 	s.Parallel = true
@@ -314,33 +314,41 @@ func TestSOCSParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range imP.I {
-		if math.Abs(imP.I[i]-imS.I[i]) > 1e-12 {
+		if imP.I[i] != imS.I[i] {
 			t.Fatalf("parallel/serial mismatch at %d: %g vs %g", i, imP.I[i], imS.I[i])
 		}
 	}
 }
 
 // TestAbbeEarlyAbort: after the first source-point failure the job loop
-// must stop issuing work instead of draining every remaining point.
+// must stop issuing work instead of draining every remaining point. A
+// parallel run may finish the evaluations already in flight (at most
+// one per worker) and must not leave workers waiting for a merge turn.
 func TestAbbeEarlyAbort(t *testing.T) {
-	s := fastSettings()
-	s.Engine = EngineAbbe
-	s.Parallel = false
-	sim, err := New(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.SourcePoints() < 5 {
-		t.Fatalf("want several source points, got %d", sim.SourcePoints())
-	}
-	// A non-power-of-two frame makes every per-point inverse FFT fail.
-	frame := Frame{W: 24, H: 24, PixelNM: s.PixelNM, OriginX: 0, OriginY: 0}
-	spectrum := rasterize(nil, frame)
-	if _, err := sim.abbeIntensity(context.Background(), spectrum, frame, 0); err == nil {
-		t.Fatal("expected error from non-pow2 frame")
-	}
-	if n := sim.fieldEvals.Load(); n != 1 {
-		t.Errorf("evaluated %d source fields after first failure, want 1", n)
+	for _, parallel := range []bool{false, true} {
+		s := fastSettings()
+		s.Engine = EngineAbbe
+		s.Parallel = parallel
+		sim, err := New(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.SourcePoints() < 5 {
+			t.Fatalf("want several source points, got %d", sim.SourcePoints())
+		}
+		// A non-power-of-two frame makes every per-point inverse FFT fail.
+		frame := Frame{W: 24, H: 24, PixelNM: s.PixelNM, OriginX: 0, OriginY: 0}
+		spectrum := rasterize(nil, frame)
+		if _, err := sim.abbeIntensity(context.Background(), spectrum, frame, 0); err == nil {
+			t.Fatal("expected error from non-pow2 frame")
+		}
+		limit := int64(1)
+		if parallel {
+			limit = int64(runtime.GOMAXPROCS(0))
+		}
+		if n := sim.fieldEvals.Load(); n > limit {
+			t.Errorf("parallel=%v: evaluated %d source fields after first failure, want <= %d", parallel, n, limit)
+		}
 	}
 }
 

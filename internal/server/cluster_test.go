@@ -343,9 +343,15 @@ func TestClusterSmoke(t *testing.T) {
 	env := startTestServer(t, func(c *Config) { co = testCoordinator(c) })
 
 	// Three workers; the victim stalls forever on every class it
-	// touches, so the kill below always lands mid-shard.
-	spawnWorker(t, env.ts.URL, "clean-1", "")
-	spawnWorker(t, env.ts.URL, "clean-2", "")
+	// touches, so the kill below always lands mid-shard. The clean
+	// workers stall 1s on each of their first two classes, so the
+	// pending queue cannot drain — and an idle clean worker cannot steal
+	// the victim's shard — before the victim's 500ms lease expires: the
+	// kill is recovered by requeue, the path this test exists to check,
+	// not by a straggler steal.
+	const cleanInject = "seed=1;worker.solve:delay:n=2:d=1s"
+	spawnWorker(t, env.ts.URL, "clean-1", cleanInject)
+	spawnWorker(t, env.ts.URL, "clean-2", cleanInject)
 	victim := spawnWorker(t, env.ts.URL, "victim", "seed=1;worker.solve:delay:n=99:d=120s")
 	waitClusterWorkers(t, co, 3)
 

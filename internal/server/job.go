@@ -16,7 +16,10 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -26,7 +29,6 @@ import (
 	"goopc/internal/faults"
 	"goopc/internal/geom"
 	"goopc/internal/obs/trace"
-	"goopc/internal/optics"
 )
 
 // State is a job's lifecycle position.
@@ -59,11 +61,6 @@ type FlowSpec struct {
 	// -fast uses 5 / 1200).
 	SourceSteps int     `json:"sourceSteps,omitempty"`
 	GuardNM     float64 `json:"guardNM,omitempty"`
-	// Precision selects the SOCS imaging precision ("" or "f64" for
-	// float64, "f32" for the complex64 coarse kernel path). Part of the
-	// calibration key: the threshold and bias table must come from the
-	// same numeric path the job images with.
-	Precision string `json:"precision,omitempty"`
 	// BiasSpaces are the rule-table environment bins.
 	BiasSpaces []geom.Coord `json:"biasSpaces,omitempty"`
 	// AnchorCD / AnchorPitch override the dose-to-size anchor.
@@ -94,8 +91,8 @@ type FlowSpec struct {
 
 // calibKey returns the cache key for the calibration this spec needs.
 func (fs FlowSpec) calibKey() string {
-	return fmt.Sprintf("src=%d|guard=%g|bias=%v|anchor=%d/%d|prec=%s",
-		fs.SourceSteps, fs.GuardNM, fs.BiasSpaces, fs.AnchorCD, fs.AnchorPitch, fs.Precision)
+	return fmt.Sprintf("src=%d|guard=%g|bias=%v|anchor=%d/%d",
+		fs.SourceSteps, fs.GuardNM, fs.BiasSpaces, fs.AnchorCD, fs.AnchorPitch)
 }
 
 // JobSpec describes one correction job: what to correct (an uploaded
@@ -129,6 +126,22 @@ type JobSpec struct {
 	Verify bool `json:"verify,omitempty"`
 	// Flow carries the per-job Flow settings.
 	Flow FlowSpec `json:"flow,omitempty"`
+}
+
+// DecodeSpec decodes exactly one JSON value from r into v (a JobSpec or
+// FlowSpec), rejecting fields v does not declare and trailing data: a
+// misspelled or retired knob fails admission instead of silently
+// taking its default.
+func DecodeSpec(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // parseLevel maps the spec's level string to the core adoption level.
@@ -166,9 +179,6 @@ func (js *JobSpec) validate(hasUpload bool) error {
 		if _, err := faults.Parse(js.Inject); err != nil {
 			return err
 		}
-	}
-	if _, err := optics.ParsePrecision(js.Flow.Precision); err != nil {
-		return err
 	}
 	if _, err := parseDuration(js.Flow.TileTimeout); err != nil {
 		return fmt.Errorf("tileTimeout: %w", err)

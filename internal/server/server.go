@@ -334,7 +334,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	upload := false
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "application/json") {
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
+		if err := DecodeSpec(io.LimitReader(r.Body, 1<<20), &spec); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("spec: %v", err))
 			return
 		}
@@ -345,7 +345,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "GDS upload needs a ?spec=<json> query parameter")
 			return
 		}
-		if err := json.Unmarshal([]byte(raw), &spec); err != nil {
+		if err := DecodeSpec(strings.NewReader(raw), &spec); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("spec: %v", err))
 			return
 		}

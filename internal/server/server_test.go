@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -296,6 +298,37 @@ func TestServerAdmissionBackpressure(t *testing.T) {
 	}
 	if _, err := env.c.Status(context.Background(), blocker.ID); err == nil {
 		t.Error("purged job still has a status")
+	}
+}
+
+// TestServerRejectsUnknownSpecFields: a spec carrying a field JobSpec
+// does not declare (here the retired flow.precision knob) answers 400
+// naming the field, on both admission paths, instead of running with
+// the field silently dropped.
+func TestServerRejectsUnknownSpecFields(t *testing.T) {
+	env := startTestServer(t, nil)
+	const spec = `{"level":"L2","workload":"stdcell","flow":{"precision":"f32"}}`
+	for _, c := range []struct {
+		name, url, ctype string
+		body             []byte
+	}{
+		{"json body", env.ts.URL + "/jobs", "application/json", []byte(spec)},
+		{"spec query", env.ts.URL + "/jobs?spec=" + url.QueryEscape(`{"level":"L2","flow":{"precision":"f32"}}`),
+			"application/octet-stream", gdsBytes(t, fourClusters()[:1])},
+	} {
+		resp, err := http.Post(c.url, c.ctype, bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body apiError
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || !strings.Contains(body.Error, `"precision"`) {
+			t.Errorf("%s: got %d %q (%v), want 400 naming \"precision\"", c.name, resp.StatusCode, body.Error, derr)
+		}
+	}
+	if jobs, err := env.c.List(context.Background()); err != nil || len(jobs) != 0 {
+		t.Errorf("jobs after rejected submits: %v, %v; want none", jobs, err)
 	}
 }
 
