@@ -21,11 +21,12 @@ test-purego:
 
 # The determinism leg: the packages whose parallel paths promise
 # bit-identical results (parallel == serial imaging, FFT plans, model
-# OPC over concurrent foci, the tiled scheduler) rerun at 1, 2 and 4
-# procs, so an order-dependent reduction fails on any host, not only on
-# multi-core ones. Never cached.
+# OPC over concurrent foci, the tiled scheduler, cluster == local, the
+# opcd job server) rerun at 1, 2 and 4 procs, so an order-dependent
+# reduction fails on any host, not only on multi-core ones. Never
+# cached.
 test-cpus:
-	go test -count=1 -cpu 1,2,4 ./internal/fft/ ./internal/optics/ ./internal/opc/model/ ./internal/core/
+	go test -count=1 -cpu 1,2,4 ./internal/fft/ ./internal/optics/ ./internal/opc/model/ ./internal/core/ ./internal/cluster/ ./internal/server/
 
 # The CI gate: static checks plus the whole tree under the race
 # detector (the lock-free obs registry, the parallel tile scheduler,

@@ -92,16 +92,21 @@ func revPairs(n int) [][2]int32 {
 	if v, ok := revCache.Load(n); ok {
 		return v.([][2]int32)
 	}
-	shift := bits.UintSize - uint(bits.Len(uint(n-1)))
 	var pairs [][2]int32
 	for i := 0; i < n; i++ {
-		j := int(bits.Reverse(uint(i)) >> shift)
-		if j > i {
+		if j := BitReverse(i, n); j > i {
 			pairs = append(pairs, [2]int32{int32(i), int32(j)})
 		}
 	}
 	v, _ := revCache.LoadOrStore(n, pairs)
 	return v.([][2]int32)
+}
+
+// BitReverse returns i with its log2(n) low bits reversed: the
+// position a transform's bit-reversal permutation moves element i to.
+// n must be a power of two and 0 <= i < n.
+func BitReverse(i, n int) int {
+	return int(bits.Reverse(uint(i)) >> (bits.UintSize - uint(bits.Len(uint(n-1)))))
 }
 
 // tablesFor returns the butterfly schedule for size n, direction
@@ -168,12 +173,20 @@ func transformT(x []complex128, t *twTables) { transformTs(x, t, 1) }
 // 1/N here. Transforms too short to reach a foldable stage (n < 8)
 // scale in a trailing loop instead.
 func transformTs(x []complex128, t *twTables, scale float64) {
-	n := len(x)
 	// Bit-reversal permutation via the precomputed swap list.
 	for _, p := range t.rev {
 		i, j := p[0], p[1]
 		x[i], x[j] = x[j], x[i]
 	}
+	butterflies(x, t, scale)
+}
+
+// butterflies is transformTs without the bit-reversal permutation: x
+// must already hold its input in bit-reversed order (see BitReverse).
+// Callers that place their input there directly skip the swap loop;
+// a permutation is exact, so the result is bit-identical.
+func butterflies(x []complex128, t *twTables, scale float64) {
+	n := len(x)
 	if n < 8 {
 		if n >= 4 {
 			stage24(x, t.w1)

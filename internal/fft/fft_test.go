@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -358,37 +359,92 @@ func TestGridAtSetClone(t *testing.T) {
 	}
 }
 
-// TestInverse2DPRowsMatchesFull: for spectra supported on a known row
-// set, the row-pruned inverse must be bit-identical to the full one.
-func TestInverse2DPRowsMatchesFull(t *testing.T) {
-	const w, h = 64, 32
+// TestInverseBandMatchesFull: for spectra supported on a known row
+// set, the band-compact inverse must be bit-identical to Inverse2DP on
+// the zero-filled full grid, serial and parallel, on square and
+// non-square grids, including bands that reach the rows beside Nyquist.
+func TestInverseBandMatchesFull(t *testing.T) {
+	cases := []struct {
+		w, h int
+		rows []int
+	}{
+		{64, 64, []int{0, 1, 2, 3, 61, 62, 63}},
+		{64, 32, []int{0, 1, 2, 3, 29, 30, 31}},
+		{32, 128, []int{0, 5, 63, 65, 127}}, // beside Nyquist (64)
+		{16, 16, []int{0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15}},
+		{2, 8, []int{1, 3, 7}}, // partial column block
+	}
 	rng := rand.New(rand.NewSource(11))
-	rows := []int{0, 1, 2, 3, 29, 30, 31}
-	full := NewGrid(w, h)
-	for _, y := range rows {
-		for x := 0; x < w; x++ {
-			full.Data[y*w+x] = complex(rng.NormFloat64(), rng.NormFloat64())
+	for _, c := range cases {
+		full := NewGrid(c.w, c.h)
+		block := NewGrid(c.w, len(c.rows))
+		for i, y := range c.rows {
+			for x := 0; x < c.w; x++ {
+				v := complex(rng.NormFloat64(), rng.NormFloat64())
+				full.Data[y*c.w+x] = v
+				block.Data[i*c.w+BitReverse(x, c.w)] = v
+			}
+		}
+		p, err := NewPlan2D(c.w, c.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Inverse2DP(full); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			p.Workers = workers
+			b := block.Clone()
+			got := make([]complex128, c.w*c.h)
+			var emitted atomic.Int64
+			before := mTransforms.Value()
+			err := p.InverseBand(b, c.rows, func(x0 int, cols []complex128) {
+				nb := len(cols) / c.h
+				emitted.Add(int64(nb))
+				for j := 0; j < nb; j++ {
+					for y := 0; y < c.h; y++ {
+						got[y*c.w+x0+j] = cols[j*c.h+y]
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := mTransforms.Value() - before; n != 1 {
+				t.Fatalf("%dx%d workers=%d: counted %d transforms, want 1", c.w, c.h, workers, n)
+			}
+			if emitted.Load() != int64(c.w) {
+				t.Fatalf("%dx%d workers=%d: emitted %d columns, want %d", c.w, c.h, workers, emitted.Load(), c.w)
+			}
+			for i := range got {
+				if got[i] != full.Data[i] {
+					t.Fatalf("%dx%d workers=%d: bit mismatch at %d: %v vs %v",
+						c.w, c.h, workers, i, got[i], full.Data[i])
+				}
+			}
 		}
 	}
-	pruned := NewGrid(w, h)
-	copy(pruned.Data, full.Data)
-	p, err := NewPlan2D(w, h)
+}
+
+// TestInverseBandRejectsBadBands: rows outside the plan, unsorted or
+// repeated rows, and a block that does not match the row list are
+// errors, not silent garbage.
+func TestInverseBandRejectsBadBands(t *testing.T) {
+	p, err := NewPlan2D(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Inverse2DP(full); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Inverse2DPRows(pruned, rows); err != nil {
-		t.Fatal(err)
-	}
-	for i := range full.Data {
-		if full.Data[i] != pruned.Data[i] {
-			t.Fatalf("bit mismatch at %d: %v vs %v", i, full.Data[i], pruned.Data[i])
+	emit := func(int, []complex128) {}
+	for _, rows := range [][]int{{8}, {-1}, {3, 2}, {2, 2}} {
+		if err := p.InverseBand(NewGrid(8, len(rows)), rows, emit); err == nil {
+			t.Errorf("rows %v accepted", rows)
 		}
 	}
-	if err := p.Inverse2DPRows(pruned, []int{h}); err == nil {
-		t.Fatal("out-of-range row accepted")
+	if err := p.InverseBand(NewGrid(8, 3), []int{0, 1}, emit); err == nil {
+		t.Error("block height != len(rows) accepted")
+	}
+	if err := p.InverseBand(NewGrid(4, 2), []int{0, 1}, emit); err == nil {
+		t.Error("block width != plan width accepted")
 	}
 }
 

@@ -41,39 +41,26 @@ func NewPlan2D(w, h int) (*Plan2D, error) {
 
 // Forward2DP computes the in-place 2-D DFT of g (rows then columns),
 // parallel over rows/columns up to p.Workers.
-func (p *Plan2D) Forward2DP(g *Grid) error { return p.apply(g, false, nil, nil) }
+func (p *Plan2D) Forward2DP(g *Grid) error { return p.apply(g, false, nil) }
 
 // Inverse2DP computes the in-place 2-D inverse DFT of g with 1/(W*H)
 // scaling, parallel over rows/columns up to p.Workers.
-func (p *Plan2D) Inverse2DP(g *Grid) error { return p.apply(g, true, nil, nil) }
-
-// Inverse2DPRows computes the inverse DFT of a grid whose input is
-// nonzero only on the listed rows: the row pass transforms just those
-// rows (an all-zero row transforms to zero, so skipping it is exact),
-// while the column and scaling passes run in full. The result is
-// bit-identical to Inverse2DP for such inputs. Band-limited spectra
-// occupy a handful of rows, making this several times cheaper.
-func (p *Plan2D) Inverse2DPRows(g *Grid, rows []int) error { return p.apply(g, true, rows, nil) }
+func (p *Plan2D) Inverse2DP(g *Grid) error { return p.apply(g, true, nil) }
 
 // Forward2DPCols computes the forward DFT restricted to the listed
 // output columns: the row pass runs in full, the column pass only on
 // the listed columns. Listed columns match Forward2DP bit-for-bit;
 // every other column is left in a partially transformed state and must
 // not be read. Use when only a known frequency band is consumed.
-func (p *Plan2D) Forward2DPCols(g *Grid, cols []int) error { return p.apply(g, false, nil, cols) }
+func (p *Plan2D) Forward2DPCols(g *Grid, cols []int) error { return p.apply(g, false, cols) }
 
-func (p *Plan2D) apply(g *Grid, invert bool, rows, cols []int) error {
+func (p *Plan2D) apply(g *Grid, invert bool, cols []int) error {
 	if g.W != p.W || g.H != p.H {
 		return fmt.Errorf("fft: plan %dx%d applied to grid %dx%d", p.W, p.H, g.W, g.H)
 	}
 	mTransforms.Inc()
 	mKernelDispatch.Inc()
 	w, h := p.W, p.H
-	for _, y := range rows {
-		if y < 0 || y >= h {
-			return fmt.Errorf("fft: row %d outside plan height %d", y, h)
-		}
-	}
 	for _, x := range cols {
 		if x < 0 || x >= w {
 			return fmt.Errorf("fft: column %d outside plan width %d", x, w)
@@ -84,20 +71,11 @@ func (p *Plan2D) apply(g *Grid, invert bool, rows, cols []int) error {
 		twW, twH = p.invW, p.invH
 	}
 	// Rows.
-	if rows == nil {
-		parallelRange(h, p.Workers, func(y0, y1 int) {
-			for y := y0; y < y1; y++ {
-				transformT(g.Data[y*w:(y+1)*w], twW)
-			}
-		})
-	} else {
-		parallelRange(len(rows), p.Workers, func(i0, i1 int) {
-			for i := i0; i < i1; i++ {
-				y := rows[i]
-				transformT(g.Data[y*w:(y+1)*w], twW)
-			}
-		})
-	}
+	parallelRange(h, p.Workers, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			transformT(g.Data[y*w:(y+1)*w], twW)
+		}
+	})
 	// Columns, gathered into pooled scratch in blocks: four adjacent
 	// complex128 columns share each 64-byte cache line, so walking the
 	// grid once per 4-column block instead of once per column cuts the
@@ -113,7 +91,6 @@ func (p *Plan2D) apply(g *Grid, invert bool, rows, cols []int) error {
 	if invert {
 		cscale = 1 / float64(w*h)
 	}
-	const colBlock = 4
 	colPass := func(x0, x1 int, pick []int) {
 		buf := getScratch(colBlock * h)
 		b0, b1 := buf[0*h:1*h], buf[1*h:2*h]
@@ -172,6 +149,70 @@ func (p *Plan2D) apply(g *Grid, invert bool, rows, cols []int) error {
 	} else {
 		parallelRange(len(cols), p.Workers, func(i0, i1 int) { colPass(i0, i1, cols) })
 	}
+	return nil
+}
+
+// colBlock is the column pass's block width: four adjacent complex128
+// columns share each 64-byte cache line.
+const colBlock = 4
+
+// InverseBand computes the 2-D inverse DFT, with 1/(W*H) scaling, of a
+// W x H spectrum that is zero outside the listed rows, without ever
+// holding the full grid. block is the band alone: a W x len(rows) grid
+// whose row i is spectrum row rows[i], each element stored at its
+// bit-reversed column (BitReverse(x, W)); rows must ascend. block is
+// overwritten by its row transforms.
+//
+// The column pass runs in blocks of up to four adjacent columns and
+// hands each finished block to emit: output column x0+j is
+// cols[j*H:(j+1)*H], in natural row order. emit runs concurrently for
+// disjoint blocks when the plan has several workers, and must not
+// retain cols. Every output value goes through the same butterflies as
+// Inverse2DP on the zero-filled full grid (all-zero rows stay zero, and
+// the bit-reversal permutation is folded into where the inputs are
+// placed), so the results are bit-identical to it. It counts as one
+// transform.
+func (p *Plan2D) InverseBand(block *Grid, rows []int, emit func(x0 int, cols []complex128)) error {
+	w, h := p.W, p.H
+	if block.W != w || block.H != len(rows) {
+		return fmt.Errorf("fft: band block %dx%d does not hold %d rows of plan width %d",
+			block.W, block.H, len(rows), w)
+	}
+	// rev[i] is where row rows[i] lands in a bit-reversed column.
+	rev := make([]int, len(rows))
+	for i, y := range rows {
+		if y < 0 || y >= h || (i > 0 && y <= rows[i-1]) {
+			return fmt.Errorf("fft: band rows must ascend within plan height %d, got %d at %d", h, y, i)
+		}
+		rev[i] = BitReverse(y, h)
+	}
+	mTransforms.Inc()
+	mKernelDispatch.Inc()
+	parallelRange(len(rows), p.Workers, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			butterflies(block.Data[i*w:(i+1)*w], p.invW, 1)
+		}
+	})
+	scale := 1 / float64(w*h)
+	parallelRange((w+colBlock-1)/colBlock, p.Workers, func(b0, b1 int) {
+		buf := getScratch(colBlock * h)
+		defer putScratch(buf)
+		for b := b0; b < b1; b++ {
+			x0 := b * colBlock
+			nb := min(colBlock, w-x0)
+			cols := buf[:nb*h]
+			clear(cols)
+			for i, y := range rev {
+				for j, v := range block.Data[i*w+x0 : i*w+x0+nb] {
+					cols[j*h+y] = v
+				}
+			}
+			for j := 0; j < nb; j++ {
+				butterflies(cols[j*h:(j+1)*h], p.invH, scale)
+			}
+			emit(x0, cols)
+		}
+	})
 	return nil
 }
 

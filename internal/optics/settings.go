@@ -141,7 +141,7 @@ type Settings struct {
 	// Engine selects the imaging path (EngineSOCS default).
 	Engine Engine
 	// SOCSMass is the fraction of the TCC trace the retained kernel set
-	// must capture; 0 selects the default 0.999. Higher mass means more
+	// must capture; 0 selects the default 0.995. Higher mass means more
 	// kernels (slower) and tighter agreement with the Abbe reference.
 	SOCSMass float64
 	// SOCSMaxKernels caps the retained kernel count regardless of mass

@@ -36,7 +36,7 @@ import (
 	"context"
 	"math"
 	"math/cmplx"
-	"runtime"
+	"slices"
 	"sync"
 
 	"goopc/internal/fft"
@@ -67,9 +67,11 @@ type kernelEntry struct {
 // grid the kernels are imaged on.
 type kernelSet struct {
 	// idx holds the flattened fine-frame indices of the in-band bins;
-	// cidx the same bins' positions on the coarse grid (identical
-	// frequencies: both grids span the same physical extent).
-	idx, cidx []int32
+	// bpos the same bins' positions in the band block of a kernel
+	// inverse: the coarse bin of the same frequency (both grids span the
+	// same physical extent), on the block row of its coarse row and at
+	// its bit-reversed column (fft.Plan2D.InverseBand).
+	idx, bpos []int32
 	// coef[k][j] is kernel k's filter at bin idx[j], scaled by
 	// sqrt(eigenvalue) and the coarse-grid DFT normalization ratio so
 	// intensities sum without extra weights.
@@ -85,10 +87,13 @@ type kernelSet struct {
 	// band does not permit reduction.
 	cw, ch int
 	// fineCols are the fine-frame columns holding in-band bins (pruned
-	// forward transform); coarseRows the coarse rows holding them
-	// (pruned kernel inverses); embedRows the fine rows that receive
-	// the upsampled intensity spectrum (pruned interpolation inverse).
+	// forward transform); coarseRows the coarse rows holding them (the
+	// kernel inverses' band); embedRows the fine rows that receive the
+	// upsampled intensity spectrum (the interpolation inverse's band).
 	fineCols, coarseRows, embedRows []int
+	// embedCols maps each coarse column to the bit-reversed fine column
+	// its upsampled bin lands on, -1 for the coarse Nyquist column.
+	embedCols []int
 }
 
 // kernels returns the cached kernel set for a frame/defocus, building
@@ -239,26 +244,37 @@ func (sim *Simulator) buildKernels(frame Frame, defocusNM float64) (*kernelSet, 
 	// bookkeeping for the pruned transforms.
 	cw := coarseSize(rx, frame.W)
 	ch := coarseSize(ry, frame.H)
-	cidx := make([]int32, m)
 	fineColSet := make(map[int]bool)
 	coarseRowSet := make(map[int]bool)
-	for j, fi := range idx {
-		kx := int(fi) % frame.W
-		ky := int(fi) / frame.W
-		ckx := wrapBin(kx, frame.W, cw)
-		cky := wrapBin(ky, frame.H, ch)
-		cidx[j] = int32(cky*cw + ckx)
-		fineColSet[kx] = true
-		coarseRowSet[cky] = true
+	for _, fi := range idx {
+		fineColSet[int(fi)%frame.W] = true
+		coarseRowSet[wrapBin(int(fi)/frame.W, frame.H, ch)] = true
 	}
 	fineCols := sortedKeys(fineColSet)
 	coarseRows := sortedKeys(coarseRowSet)
+	blockRow := make([]int, ch)
+	for i, cky := range coarseRows {
+		blockRow[cky] = i
+	}
+	bpos := make([]int32, m)
+	for j, fi := range idx {
+		ckx := wrapBin(int(fi)%frame.W, frame.W, cw)
+		cky := wrapBin(int(fi)/frame.W, frame.H, ch)
+		bpos[j] = int32(blockRow[cky]*cw + fft.BitReverse(ckx, cw))
+	}
 	var embedRows []int
 	for ky := 0; ky < ch; ky++ {
 		if ky == ch/2 {
 			continue
 		}
 		embedRows = append(embedRows, wrapBin(ky, ch, frame.H))
+	}
+	embedCols := make([]int, cw)
+	for ckx := range embedCols {
+		embedCols[ckx] = -1
+		if ckx != cw/2 {
+			embedCols[ckx] = fft.BitReverse(wrapBin(ckx, cw, frame.W), frame.W)
+		}
 	}
 
 	// A[s][j] = sqrt(w_s) * P(f_j + shift_s), the defocused pupil seen
@@ -371,10 +387,11 @@ func (sim *Simulator) buildKernels(frame Frame, defocusNM float64) (*kernelSet, 
 	mKernelBuilds.Inc()
 	mKernelsKept.Observe(float64(kept))
 	return &kernelSet{
-		idx: idx, cidx: cidx, coef: coef, eigs: eigs,
+		idx: idx, bpos: bpos, coef: coef, eigs: eigs,
 		kept: kept, trace: trace, mass: mass,
 		cw: cw, ch: ch,
 		fineCols: fineCols, coarseRows: coarseRows, embedRows: embedRows,
+		embedCols: embedCols,
 	}, nil
 }
 
@@ -397,123 +414,49 @@ func sortedKeys(set map[int]bool) []int {
 	for k := range set {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
 // socsIntensity images the spectrum through the cached kernel set: one
-// small coarse-grid inverse FFT per retained kernel, then a single
-// Fourier interpolation of the accumulated intensity up to the frame.
-// With Parallel set, kernels fan out across goroutines into per-kernel
-// buffers merged in kernel order, so the result is bit-identical to the
-// serial loop.
+// small band-compact inverse FFT per retained kernel, each column block
+// adding its |field|^2 straight into the coarse intensity, then a single
+// Fourier interpolation of that intensity up to the frame. Kernels run
+// strictly in order; with Parallel set the plan splits each kernel's
+// rows and column blocks across workers, which touch disjoint pixels,
+// so every pixel's sum is the serial sum at any GOMAXPROCS.
 func (sim *Simulator) socsIntensity(ctx context.Context, spectrum *fft.Grid, frame Frame, ks *kernelSet) ([]float64, error) {
-	cn := ks.cw * ks.ch
-	coarse := getFloats(cn)
-	cplan, err := sim.plan(ks.cw, ks.ch)
+	cw, ch := ks.cw, ks.ch
+	cplan, err := sim.plan(cw, ch)
 	if err != nil {
-		putFloats(coarse)
 		return nil, err
 	}
-	workers := 1
-	if sim.S.Parallel {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > ks.kept {
-			workers = ks.kept
-		}
-		if workers < 1 {
-			workers = 1
+	// coarse is column-major (pixel (x, y) at x*ch+y), so each finished
+	// column adds into one contiguous run.
+	coarse := getFloats(cw * ch)
+	accumulate := func(x0 int, cols []complex128) {
+		acc := coarse[x0*ch : x0*ch+len(cols)]
+		for i, v := range cols {
+			re, im := real(v), imag(v)
+			acc[i] += re*re + im*im
 		}
 	}
-	if workers <= 1 {
-		// Sequential kernels; the plan parallelizes inside each IFFT
-		// when the simulator is parallel.
-		field := fft.GetGrid(ks.cw, ks.ch)
-		for k := 0; k < ks.kept; k++ {
-			if err := ctx.Err(); err != nil {
-				fft.PutGrid(field)
-				putFloats(coarse)
-				return nil, err
-			}
-			if err := kernelField(field, spectrum, ks, k, cplan); err != nil {
-				fft.PutGrid(field)
-				putFloats(coarse)
-				return nil, err
-			}
-			for i, v := range field.Data {
-				re, im := real(v), imag(v)
-				coarse[i] += re*re + im*im
-			}
-		}
-		fft.PutGrid(field)
-		return sim.upsample(coarse, frame, ks)
-	}
-
-	// Kernel-level fan-out with serial per-kernel IFFTs (one transform
-	// per core beats nested parallelism).
-	serial := *cplan
-	serial.Workers = 1
-	parts := make([][]float64, ks.kept)
-	var firstErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			field := fft.GetGrid(ks.cw, ks.ch)
-			defer fft.PutGrid(field)
-			for k := range jobs {
-				if err := ctx.Err(); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				if err := kernelField(field, spectrum, ks, k, &serial); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				part := getFloats(cn)
-				for i, v := range field.Data {
-					re, im := real(v), imag(v)
-					part[i] = re*re + im*im
-				}
-				parts[k] = part
-			}
-		}()
-	}
+	block := fft.GetGrid(cw, len(ks.coarseRows))
+	defer fft.PutGrid(block)
 	for k := 0; k < ks.kept; k++ {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		for _, part := range parts {
-			if part != nil {
-				putFloats(part)
-			}
+		if err := ctx.Err(); err != nil {
+			putFloats(coarse)
+			return nil, err
 		}
-		putFloats(coarse)
-		return nil, firstErr
-	}
-	// Deterministic merge in kernel order.
-	for _, part := range parts {
-		for i, v := range part {
-			coarse[i] += v
+		clear(block.Data)
+		ck := ks.coef[k]
+		for j, bi := range ks.idx {
+			block.Data[ks.bpos[j]] = spectrum.Data[bi] * ck[j]
 		}
-		putFloats(part)
+		if err := cplan.InverseBand(block, ks.coarseRows, accumulate); err != nil {
+			putFloats(coarse)
+			return nil, err
+		}
 	}
 	return sim.upsample(coarse, frame, ks)
 }
@@ -522,77 +465,75 @@ func (sim *Simulator) socsIntensity(ctx context.Context, spectrum *fft.Grid, fra
 // Fourier interpolation. The intensity spectrum fits strictly inside
 // the coarse Nyquist square by construction (coarseSize), so the
 // interpolation is exact for the band-limited intensity: the fine
-// samples match a full-frame evaluation to rounding error. The coarse
-// buffer is consumed (returned to its pool).
+// samples match a full-frame evaluation to rounding error. The fine
+// inverse runs on the band of embedded rows alone and writes real(v)
+// straight into the returned image. The coarse intensity is
+// column-major (see socsIntensity) and is consumed (returned to its
+// pool).
 func (sim *Simulator) upsample(coarse []float64, frame Frame, ks *kernelSet) ([]float64, error) {
 	n := frame.W * frame.H
-	if ks.cw == frame.W && ks.ch == frame.H {
+	cw, ch := ks.cw, ks.ch
+	if cw == frame.W && ch == frame.H {
 		out := make([]float64, n)
-		copy(out, coarse)
+		for x := 0; x < cw; x++ {
+			for y, v := range coarse[x*ch : (x+1)*ch] {
+				out[y*cw+x] = v
+			}
+		}
 		putFloats(coarse)
 		return out, nil
 	}
-	cg := fft.GetGrid(ks.cw, ks.ch)
-	for i, v := range coarse {
-		cg.Data[i] = complex(v, 0)
+	cg := fft.GetGrid(cw, ch)
+	for x := 0; x < cw; x++ {
+		for y, v := range coarse[x*ch : (x+1)*ch] {
+			cg.Data[y*cw+x] = complex(v, 0)
+		}
 	}
 	putFloats(coarse)
-	cplan, err := sim.plan(ks.cw, ks.ch)
+	defer fft.PutGrid(cg)
+	cplan, err := sim.plan(cw, ch)
 	if err != nil {
-		fft.PutGrid(cg)
 		return nil, err
 	}
 	if err := cplan.Forward2DP(cg); err != nil {
-		fft.PutGrid(cg)
 		return nil, err
 	}
 	fplan, err := sim.plan(frame.W, frame.H)
 	if err != nil {
-		fft.PutGrid(cg)
 		return nil, err
 	}
-	fg := fft.GetGrid(frame.W, frame.H)
 	// Embed every non-Nyquist coarse bin at its signed frequency. The
 	// Nyquist row/column carry only rounding noise (the spectrum support
 	// ends below them) and have no unambiguous image on the fine grid.
-	ratio := complex(float64(n)/float64(ks.cw*ks.ch), 0)
-	for cky := 0; cky < ks.ch; cky++ {
-		if cky == ks.ch/2 {
+	block := fft.GetGrid(frame.W, len(ks.embedRows))
+	defer fft.PutGrid(block)
+	ratio := complex(float64(n)/float64(cw*ch), 0)
+	row := 0
+	for cky := 0; cky < ch; cky++ {
+		if cky == ch/2 {
 			continue
 		}
-		fy := wrapBin(cky, ks.ch, frame.H)
-		src := cg.Data[cky*ks.cw:]
-		dst := fg.Data[fy*frame.W:]
-		for ckx := 0; ckx < ks.cw; ckx++ {
-			if ckx == ks.cw/2 {
-				continue
+		src := cg.Data[cky*cw : (cky+1)*cw]
+		dst := block.Data[row*frame.W : (row+1)*frame.W]
+		for ckx, fx := range ks.embedCols {
+			if fx >= 0 {
+				dst[fx] = src[ckx] * ratio
 			}
-			dst[wrapBin(ckx, ks.cw, frame.W)] = src[ckx] * ratio
 		}
-	}
-	fft.PutGrid(cg)
-	if err := fplan.Inverse2DPRows(fg, ks.embedRows); err != nil {
-		fft.PutGrid(fg)
-		return nil, err
+		row++
 	}
 	out := make([]float64, n)
-	for i, v := range fg.Data {
-		out[i] = real(v)
+	err = fplan.InverseBand(block, ks.embedRows, func(x0 int, cols []complex128) {
+		nb := len(cols) / frame.H
+		for y := 0; y < frame.H; y++ {
+			o := out[y*frame.W+x0 : y*frame.W+x0+nb]
+			for j := range o {
+				o[j] = real(cols[j*frame.H+y])
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	fft.PutGrid(fg)
 	return out, nil
-}
-
-// kernelField fills the coarse field with IFFT(spectrum * kernel k):
-// in-band bins of the fine-frame spectrum land on the coarse bin of the
-// same frequency, and the inverse runs only over the occupied rows.
-func kernelField(field, spectrum *fft.Grid, ks *kernelSet, k int, plan *fft.Plan2D) error {
-	for i := range field.Data {
-		field.Data[i] = 0
-	}
-	ck := ks.coef[k]
-	for j, bi := range ks.idx {
-		field.Data[ks.cidx[j]] = spectrum.Data[bi] * ck[j]
-	}
-	return plan.Inverse2DPRows(field, ks.coarseRows)
 }

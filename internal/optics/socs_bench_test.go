@@ -48,3 +48,27 @@ func BenchmarkKernelCacheHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAerialTileFrame images one routed tile's frame at default
+// settings: a 4375 nm window gives the 512² fine / 256² coarse frame
+// the tiled flow images on every model iteration, so this tracks the
+// production shape (run with -cpu 1 for the serial cost). The kernel
+// cache is warm, as it is after a flow's first tile.
+func BenchmarkAerialTileFrame(b *testing.B) {
+	sim, err := New(Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	window := geom.R(-2187, -2187, 2188, 2188)
+	mask := parityMask()
+	if _, err := sim.Aerial(mask, window); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Aerial(mask, window); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
